@@ -24,6 +24,16 @@
 //! enforces, so the longest path is a true lower bound. Over-approximated
 //! ranges would invent orderings the machine never waits for and could
 //! push the "lower bound" past the simulated latency.
+//!
+//! The same-core edges are found through per-core indexes over the older
+//! nodes' ranges, global accesses and channels, so the build costs time
+//! in proportion to the edges it emits rather than to the node pairs a
+//! core holds. Every enforced edge is kept (no transitive reduction): the
+//! critical-path backtrace picks the first predecessor with maximal
+//! completion, and dropping a redundant edge could change which one that
+//! is.
+
+use std::collections::BTreeMap;
 
 use pimsim_isa::{InstrClass, Instruction, Program, Reg, SBinOp, SImmOp, VectorShape};
 
@@ -47,6 +57,13 @@ impl Range {
         }
     }
 
+    /// `true` when the range covers no element (it then conflicts with
+    /// nothing).
+    fn is_empty(&self) -> bool {
+        self.start >= self.end
+    }
+
+    #[cfg(test)]
     fn overlaps(&self, other: &Range) -> bool {
         self.start < self.end
             && other.start < other.end
@@ -378,7 +395,9 @@ fn gmem_conflict(a: &Option<(u64, u64, bool)>, b: &Option<(u64, u64, bool)>) -> 
 
 /// Must `younger` wait for `older`'s completion before issuing? Exact
 /// mirror of the ROB's hazard scan (RAW/WAW/WAR local-memory overlap,
-/// global-memory conflict, same-channel transfer FIFO).
+/// global-memory conflict, same-channel transfer FIFO). The all-pairs
+/// oracle the indexed builder ([`link_core`]) is tested against.
+#[cfg(test)]
 fn blocks(older: &DagNode, younger: &DagNode) -> bool {
     let raw = younger
         .reads
@@ -396,6 +415,144 @@ fn blocks(older: &DagNode, younger: &DagNode) -> bool {
         return true;
     }
     younger.channel.is_some() && younger.channel == older.channel
+}
+
+/// The older ranges of one kind (reads or writes) on one core, answering
+/// "which inserted ranges overlap `q`?" with each match reported exactly
+/// once. A non-empty `[s, e)` overlaps a non-empty `[qs, qe)` iff it
+/// either contains `qs` (`s <= qs < e`) or starts inside the query
+/// (`qs < s < qe`), and no range does both. A segment tree over the
+/// core's compressed range endpoints answers the first case with a point
+/// stab, a start-keyed map the second. Empty ranges are never inserted
+/// and never match.
+struct RangeIndex<'a> {
+    /// Sorted distinct endpoints of every non-empty range on the core;
+    /// leaf `k` is the elementary interval `[coords[k], coords[k + 1])`.
+    coords: &'a [u32],
+    /// Leaf count rounded up to a power of two.
+    size: usize,
+    /// Heap-ordered tree: `tree[n]` lists the ranges whose canonical
+    /// cover includes node `n`.
+    tree: Vec<Vec<u32>>,
+    /// Ranges keyed by start.
+    by_start: BTreeMap<u32, Vec<u32>>,
+}
+
+impl<'a> RangeIndex<'a> {
+    fn new(coords: &'a [u32]) -> RangeIndex<'a> {
+        let size = coords.len().saturating_sub(1).next_power_of_two();
+        RangeIndex {
+            coords,
+            size,
+            tree: vec![Vec::new(); 2 * size],
+            by_start: BTreeMap::new(),
+        }
+    }
+
+    /// Tree node of the leaf starting at `x` (every endpoint of a
+    /// non-empty range on the core is a coordinate).
+    fn leaf(&self, x: u32) -> usize {
+        self.size
+            + self
+                .coords
+                .binary_search(&x)
+                .expect("range endpoint is a core coordinate")
+    }
+
+    fn insert(&mut self, r: Range, id: u32) {
+        if r.is_empty() {
+            return;
+        }
+        let (mut lo, mut hi) = (self.leaf(r.start), self.leaf(r.end));
+        while lo < hi {
+            if lo & 1 == 1 {
+                self.tree[lo].push(id);
+                lo += 1;
+            }
+            if hi & 1 == 1 {
+                hi -= 1;
+                self.tree[hi].push(id);
+            }
+            lo >>= 1;
+            hi >>= 1;
+        }
+        self.by_start.entry(r.start).or_default().push(id);
+    }
+
+    /// Calls `hit` once per inserted range that overlaps `q`.
+    fn query(&self, q: Range, hit: &mut impl FnMut(u32)) {
+        if q.is_empty() {
+            return;
+        }
+        let mut n = self.leaf(q.start);
+        while n > 0 {
+            self.tree[n].iter().for_each(|&id| hit(id));
+            n >>= 1;
+        }
+        for ids in self.by_start.range(q.start + 1..q.end).map(|(_, ids)| ids) {
+            ids.iter().for_each(|&id| hit(id));
+        }
+    }
+}
+
+/// Fills `preds` for one core's nodes (`nodes`, in trace order, whose
+/// ids in [`Dag::nodes`] start at `first`): every older node on the core
+/// that the ROB makes it wait for, ascending.
+fn link_core(nodes: &mut [DagNode], first: usize) {
+    let mut coords: Vec<u32> = nodes
+        .iter()
+        .flat_map(|n| n.reads.iter().chain(&n.writes))
+        .filter(|r| !r.is_empty())
+        .flat_map(|r| [r.start, r.end])
+        .collect();
+    coords.sort_unstable();
+    coords.dedup();
+    let mut reads = RangeIndex::new(&coords);
+    let mut writes = RangeIndex::new(&coords);
+    let mut gmem: Vec<(u32, (u64, u64, bool))> = Vec::new();
+    let mut channels: BTreeMap<(u16, u16, u16), Vec<u32>> = BTreeMap::new();
+    // `seen[j] == i` once older node `j` is already a predecessor of `i`.
+    let mut seen = vec![u32::MAX; nodes.len()];
+    let mut found: Vec<u32> = Vec::new();
+    for (i, node) in nodes.iter_mut().enumerate() {
+        let id = i as u32;
+        let mut hit = |j: u32| {
+            if seen[j as usize] != id {
+                seen[j as usize] = id;
+                found.push(j);
+            }
+        };
+        for &r in &node.reads {
+            writes.query(r, &mut hit); // RAW
+        }
+        for &w in &node.writes {
+            writes.query(w, &mut hit); // WAW
+            reads.query(w, &mut hit); // WAR
+        }
+        if node.gmem.is_some() {
+            for &(j, g) in &gmem {
+                if gmem_conflict(&node.gmem, &Some(g)) {
+                    hit(j);
+                }
+            }
+        }
+        if let Some(ch) = node.channel {
+            let older = channels.entry(ch).or_default();
+            older.iter().for_each(|&j| hit(j));
+            older.push(id);
+        }
+        for &r in &node.reads {
+            reads.insert(r, id);
+        }
+        for &w in &node.writes {
+            writes.insert(w, id);
+        }
+        if let Some(g) = node.gmem {
+            gmem.push((id, g));
+        }
+        found.sort_unstable();
+        node.preds = found.drain(..).map(|j| first + j as usize).collect();
+    }
 }
 
 impl Dag {
@@ -428,13 +585,7 @@ impl Dag {
             }
             // Hazard + channel-FIFO edges among this core's nodes.
             let end = nodes.len();
-            for i in first..end {
-                for j in first..i {
-                    if blocks(&nodes[j], &nodes[i]) {
-                        nodes[i].preds.push(j);
-                    }
-                }
-            }
+            link_core(&mut nodes[first..end], first);
             cores.push(CoreTrace {
                 linear: true,
                 dispatches: trace.len() as u32,
@@ -569,6 +720,186 @@ mod tests {
         assert!(d.nodes.is_empty());
         assert!(!d.cores[0].linear);
         assert!(d.cores[0].has_instructions);
+    }
+
+    /// Builds the DAG of an already-compiled program (no rendezvous edges:
+    /// only the same-core `preds` are under test).
+    fn dag_of_program(p: &Program) -> Dag {
+        let cfgs: Vec<Cfg> = p.cores.iter().map(|c| Cfg::build(&c.instrs)).collect();
+        Dag::build(p, &cfgs, &crate::RendezvousMap::default())
+    }
+
+    /// The all-pairs oracle: for every node, each older node on its core
+    /// that [`blocks`] it, ascending.
+    fn oracle_preds(d: &Dag) -> Vec<Vec<usize>> {
+        d.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| {
+                d.cores[n.core as usize]
+                    .nodes
+                    .iter()
+                    .copied()
+                    .take_while(|&j| j < i)
+                    .filter(|&j| blocks(&d.nodes[j], n))
+                    .collect()
+            })
+            .collect()
+    }
+
+    mod differential {
+        use super::*;
+        use pimsim_isa::{Addr, CoreId, PoolOp, VBinOp};
+        use proptest::prelude::*;
+
+        /// An operand address: base `r0` (zero), `r1` (just under
+        /// `i32::MAX`, so long operands saturate at `u32::MAX`) or `r2`
+        /// (moved by generated `addi`s, possibly below zero), plus a small
+        /// offset so that ranges collide often.
+        fn addr() -> impl Strategy<Value = Addr> {
+            (0u8..3, -8i32..48).prop_map(|(r, off)| Addr::new(Reg::new(r).unwrap(), off).unwrap())
+        }
+
+        /// Operand lengths: short, zero, or long enough to saturate.
+        fn len() -> impl Strategy<Value = u32> {
+            prop_oneof![
+                4 => 1u32..12,
+                1 => Just(0u32),
+                1 => (u32::MAX - 4)..=u32::MAX,
+            ]
+        }
+
+        fn instr(core: u16) -> impl Strategy<Value = Instruction> {
+            use Instruction as I;
+            let peer = CoreId(1 - core);
+            prop_oneof![
+                (-24i32..24).prop_map(|imm| I::SImm {
+                    op: SImmOp::Add,
+                    rd: Reg::R2,
+                    rs1: Reg::R2,
+                    imm,
+                }),
+                (addr(), len()).prop_map(|(dst, len)| I::VFill { dst, value: 1, len }),
+                (addr(), addr(), addr(), len()).prop_map(|(dst, a, b, len)| I::VBin {
+                    op: VBinOp::Add,
+                    dst,
+                    a,
+                    b,
+                    len,
+                }),
+                (addr(), addr(), 0u32..6, 0u32..4, -16i32..16, -16i32..16).prop_map(
+                    |(dst, src, block_len, blocks, src_stride, dst_stride)| I::VCopy2d {
+                        dst,
+                        src,
+                        block_len,
+                        blocks,
+                        src_stride,
+                        dst_stride,
+                    }
+                ),
+                (addr(), addr(), 0u32..5, 0u32..3, 0u32..3, -16i32..16).prop_map(
+                    |(dst, src, channels, win_w, win_h, row_stride)| I::VPool {
+                        op: PoolOp::Max,
+                        dst,
+                        src,
+                        channels,
+                        win_w,
+                        win_h,
+                        row_stride,
+                    }
+                ),
+                (addr(), addr(), len()).prop_map(|(dst, gaddr, len)| I::GLoad { dst, gaddr, len }),
+                (addr(), addr(), len()).prop_map(|(gaddr, src, len)| I::GStore { gaddr, src, len }),
+                (addr(), len(), 0u16..2).prop_map(move |(src, len, tag)| I::Send {
+                    peer,
+                    src,
+                    len,
+                    tag,
+                }),
+                (addr(), len(), 0u16..2).prop_map(move |(dst, len, tag)| I::Recv {
+                    peer,
+                    dst,
+                    len,
+                    tag,
+                }),
+                (addr(), 0u32..6, 0u32..4, -16i32..16, 0u16..2).prop_map(
+                    move |(dst, block_len, blocks, dst_stride, tag)| I::Recv2d {
+                        peer,
+                        dst,
+                        block_len,
+                        blocks,
+                        dst_stride,
+                        tag,
+                    }
+                ),
+            ]
+        }
+
+        /// A straight-line core: set up the `r1`/`r2` bases, run `body`,
+        /// halt.
+        fn core_program(body: Vec<Instruction>) -> pimsim_isa::CoreProgram {
+            let li = |rd, imm| Instruction::SImm {
+                op: SImmOp::Add,
+                rd,
+                rs1: Reg::R0,
+                imm,
+            };
+            let mut instrs = vec![li(Reg::R1, i32::MAX - 40), li(Reg::R2, 16)];
+            instrs.extend(body);
+            instrs.push(Instruction::Halt);
+            pimsim_isa::CoreProgram {
+                instrs,
+                ..Default::default()
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn indexed_preds_equal_the_all_pairs_oracle(
+                core0 in proptest::collection::vec(instr(0), 0..40),
+                core1 in proptest::collection::vec(instr(1), 0..24),
+            ) {
+                let mut p = Program::with_cores(2);
+                p.cores[0] = core_program(core0);
+                p.cores[1] = core_program(core1);
+                let d = dag_of_program(&p);
+                let want = oracle_preds(&d);
+                for (i, n) in d.nodes.iter().enumerate() {
+                    prop_assert_eq!(&n.preds, &want[i], "node {} (core {} pc {})", i, n.core, n.pc);
+                }
+            }
+        }
+
+        #[test]
+        fn indexed_preds_equal_the_all_pairs_oracle_on_the_zoo() {
+            use pimsim_arch::ArchConfig;
+            use pimsim_compiler::{Compiler, MappingPolicy};
+            use pimsim_nn::zoo;
+            let small = ArchConfig::small_test();
+            let paper = ArchConfig::paper_default();
+            for (net, arch) in [
+                (zoo::tiny_mlp(), &small),
+                (zoo::tiny_cnn(), &small),
+                (zoo::lenet(32), &paper),
+            ] {
+                for policy in [
+                    MappingPolicy::UtilizationFirst,
+                    MappingPolicy::PerformanceFirst,
+                ] {
+                    let compiled = Compiler::new(arch)
+                        .mapping(policy)
+                        .functional(false)
+                        .compile(&net)
+                        .unwrap();
+                    let d = dag_of_program(&compiled.program);
+                    assert!(d.cores.iter().all(|c| c.linear), "{}", net.name);
+                    let want = oracle_preds(&d);
+                    for (i, n) in d.nodes.iter().enumerate() {
+                        assert_eq!(n.preds, want[i], "{} {policy:?}: node {i}", net.name);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

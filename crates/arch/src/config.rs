@@ -52,9 +52,16 @@ pub struct Resources {
 }
 
 impl Resources {
-    /// Total core count (`core_rows * core_cols`).
+    /// The most cores a mesh may have. Core ids are `u16`, and the
+    /// network-on-chip reserves the top id (`u16::MAX`) for the
+    /// global-memory port.
+    pub const MAX_CORES: u32 = u16::MAX as u32;
+
+    /// Total core count (`core_rows * core_cols`). Saturates at
+    /// `u16::MAX` for the oversized meshes [`ArchConfig::validate`]
+    /// rejects, instead of wrapping.
     pub fn cores(&self) -> u16 {
-        self.core_rows * self.core_cols
+        u16::try_from(self.core_rows as u32 * self.core_cols as u32).unwrap_or(u16::MAX)
     }
 
     /// Local memory capacity in 32-bit elements.
@@ -496,6 +503,18 @@ impl ArchConfig {
         if r.core_rows == 0 || r.core_cols == 0 {
             return bad("resources.core_rows", "mesh must have at least one core");
         }
+        let cores = r.core_rows as u32 * r.core_cols as u32;
+        if cores > Resources::MAX_CORES {
+            return bad(
+                "resources.core_rows",
+                format!(
+                    "mesh {}x{} has {cores} cores; core ids address at most {}",
+                    r.core_rows,
+                    r.core_cols,
+                    Resources::MAX_CORES
+                ),
+            );
+        }
         if r.xbars_per_core == 0 {
             return bad("resources.xbars_per_core", "need at least one crossbar");
         }
@@ -617,6 +636,29 @@ mod tests {
         assert_eq!(cfg.resources.xbar_rows, 128);
         assert_eq!(cfg.resources.xbar_cols, 128);
         assert_eq!(cfg.resources.adcs_per_xbar, 1);
+    }
+
+    #[test]
+    fn meshes_beyond_the_core_id_space_are_invalid() {
+        for (rows, cols) in [(60000, 8), (8192, 8), (u16::MAX, u16::MAX)] {
+            let mut cfg = ArchConfig::paper_default();
+            cfg.resources.core_rows = rows;
+            cfg.resources.core_cols = cols;
+            assert_eq!(cfg.resources.cores(), u16::MAX, "{rows}x{cols} saturates");
+            match cfg.validate() {
+                Err(ArchError::Invalid { field, msg }) => {
+                    assert_eq!(field, "resources.core_rows");
+                    assert!(msg.contains(&format!("{rows}x{cols}")), "{msg}");
+                }
+                other => panic!("{rows}x{cols}: expected Invalid, got {other:?}"),
+            }
+        }
+        // The largest mesh the id space holds is still valid.
+        let mut cfg = ArchConfig::paper_default();
+        cfg.resources.core_rows = 255;
+        cfg.resources.core_cols = 257;
+        cfg.validate().unwrap();
+        assert_eq!(cfg.resources.cores(), u16::MAX);
     }
 
     #[test]

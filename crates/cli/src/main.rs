@@ -22,6 +22,8 @@
 //! pimsim config   [--out arch.json]
 //! ```
 
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use pimsim_arch::ArchConfig;
@@ -34,6 +36,32 @@ use pimsim_sweep::{results_to_json, run_scenarios, SweepGrid};
 
 mod args;
 use args::Args;
+
+/// `print!` for command output, through [`emit`]; evaluates to
+/// `Result<(), String>`.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*), "") };
+}
+
+/// `println!` for command output, through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*), "\n") };
+}
+
+/// Writes command output to stdout. A reader that closes the pipe early
+/// (`pimsim bound ... | head`) ends the process quietly and successfully:
+/// nobody is left to read the rest.
+fn emit(args: fmt::Arguments, end: &str) -> Result<(), String> {
+    let mut stdout = io::stdout().lock();
+    match stdout
+        .write_fmt(args)
+        .and_then(|()| stdout.write_all(end.as_bytes()))
+    {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => Err(format!("writing output: {e}")),
+    }
+}
 
 const USAGE: &str =
     "usage: pimsim <run|compile|check|bound|asm|disasm|sweep|serve|networks|config> [options]
@@ -338,11 +366,11 @@ const COMMANDS: &[CommandSpec] = &[
 
 fn dispatch(argv: &[String]) -> Result<(), String> {
     let Some(cmd) = argv.first() else {
-        print!("{USAGE}");
+        out!("{USAGE}")?;
         return Ok(());
     };
     if matches!(cmd.as_str(), "help" | "--help" | "-h") {
-        print!("{USAGE}");
+        out!("{USAGE}")?;
         return Ok(());
     }
     let Some(spec) = COMMANDS.iter().find(|s| s.name == cmd.as_str()) else {
@@ -354,7 +382,7 @@ fn dispatch(argv: &[String]) -> Result<(), String> {
     };
     let args = Args::parse(&argv[1..], &spec.vocab)?;
     if args.flag("help") {
-        print!("{USAGE}");
+        out!("{USAGE}")?;
         return Ok(());
     }
     (spec.run)(&args)
@@ -435,19 +463,19 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             .run(&net)
             .map_err(|e| e.to_string())?;
         if args.flag("json") {
-            println!(
+            outln!(
                 "{{\"simulator\":\"baseline\",\"network\":\"{}\",\"latency_ns\":{},\"energy_pj\":{},\"power_w\":{}}}",
                 net.name,
                 report.latency.as_ns_f64(),
                 report.energy.as_pj(),
                 report.avg_power_w()
-            );
+            )?;
         } else {
-            println!("baseline (MNSIM2.0-like) on {}:", net.name);
-            println!("  latency : {}", report.latency);
-            println!("  energy  : {}", report.energy);
-            println!("  power   : {:.3} W", report.avg_power_w());
-            println!("  layers  : {}", report.per_layer.len());
+            outln!("baseline (MNSIM2.0-like) on {}:", net.name)?;
+            outln!("  latency : {}", report.latency)?;
+            outln!("  energy  : {}", report.energy)?;
+            outln!("  power   : {:.3} W", report.avg_power_w())?;
+            outln!("  layers  : {}", report.per_layer.len())?;
         }
         return Ok(());
     }
@@ -480,7 +508,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         String::new()
     };
     if args.flag("json") {
-        println!(
+        outln!(
             "{{\"simulator\":\"cycle-accurate\",\"network\":\"{}\",\"mapping\":\"{}\",\"batch\":{},\"latency_ns\":{},\"latency_per_image_ns\":{},\"energy_pj\":{},\"power_w\":{},\"instructions\":{},\"events\":{}{schedule}}}",
             net.name,
             policy,
@@ -491,57 +519,57 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             report.avg_power_w(),
             report.instructions,
             report.events
-        );
+        )?;
     } else {
-        println!("{} under {policy} (batch {batch}):", net.name);
-        println!("  latency        : {}", report.latency);
+        outln!("{} under {policy} (batch {batch}):", net.name)?;
+        outln!("  latency        : {}", report.latency)?;
         if batch > 1 {
-            println!("  per image      : {per_image}");
+            outln!("  per image      : {per_image}")?;
         }
-        println!("  energy         : {}", report.energy.total());
-        println!(
+        outln!("  energy         : {}", report.energy.total())?;
+        outln!(
             "    matrix {} / vector {} / transfer {} / static {}",
             report.energy.matrix,
             report.energy.vector,
             report.energy.transfer,
             report.energy.static_energy
-        );
-        println!("  power          : {:.3} W", report.avg_power_w());
-        println!(
+        )?;
+        outln!("  power          : {:.3} W", report.avg_power_w())?;
+        outln!(
             "  instructions   : {} (matrix {}, vector {}, transfer {}, scalar {})",
             report.instructions,
             report.class_counts[0],
             report.class_counts[1],
             report.class_counts[2],
             report.class_counts[3]
-        );
-        println!("  kernel events  : {}", report.events);
+        )?;
+        outln!("  kernel events  : {}", report.events)?;
         if args.flag("schedule") {
             let s = &report.schedule;
-            println!("  engine         : {engine}");
-            println!(
+            outln!("  engine         : {engine}")?;
+            outln!(
                 "    dispatched {} / placed {} / regions: {} compiled, {} reused, {} fallback",
                 s.events_dispatched,
                 s.events_placed,
                 s.regions_compiled,
                 s.regions_reused,
                 s.regions_fallback
-            );
+            )?;
         }
-        println!("  cores w/ work  : {}", compiled.placement.cores_used);
+        outln!("  cores w/ work  : {}", compiled.placement.cores_used)?;
         if arch.sim.functional {
             let out = report.read_global(compiled.output.gaddr, compiled.output.elems.min(8));
-            println!("  output head    : {out:?}");
+            outln!("  output head    : {out:?}")?;
         }
         if arch.sim.trace {
-            println!("  trace (first 20 of {}):", report.trace.len());
+            outln!("  trace (first 20 of {}):", report.trace.len())?;
             for t in report.trace.iter().take(20) {
-                println!(
+                outln!(
                     "    {:>12}  core{:<3} {}",
                     format!("{}", t.time),
                     t.core,
                     t.instr
-                );
+                )?;
             }
         }
     }
@@ -573,7 +601,7 @@ fn cmd_compile(args: &Args) -> Result<(), String> {
         eprintln!("wrote {path}");
     }
     if args.get("out").is_none() && args.get("asm").is_none() {
-        print!("{}", asm::disassemble(&compiled.program));
+        out!("{}", asm::disassemble(&compiled.program))?;
     }
     Ok(())
 }
@@ -635,12 +663,12 @@ fn cmd_check(args: &Args) -> Result<(), String> {
 
     let analysis = pimsim_analyze::analyze(&program, &arch);
     if format == "json" {
-        println!("{}", analysis.to_json());
+        outln!("{}", analysis.to_json())?;
     } else {
         for d in &analysis.diagnostics {
-            println!("{d}");
+            outln!("{d}")?;
         }
-        println!(
+        outln!(
             "{label}: {}; rendezvous: {} pair(s){}",
             analysis.summary(),
             analysis.rendezvous.pairs.len(),
@@ -650,7 +678,7 @@ fn cmd_check(args: &Args) -> Result<(), String> {
                 " (incomplete: program has data-dependent control flow or \
                  unmatched transfers)"
             }
-        );
+        )?;
     }
     if analysis.has_errors() {
         return Err(format!("static analysis failed: {}", analysis.summary()));
@@ -671,12 +699,12 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
 
     let report = pimsim_analyze::bounds(&program, &arch);
     if format == "json" {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json())?;
     } else {
         for d in &report.diagnostics {
-            println!("{d}");
+            outln!("{d}")?;
         }
-        println!(
+        outln!(
             "{label}: latency lower bound {:.3} ns ({} ps), source: {}{}",
             report.latency_lb_ns,
             report.latency_lb_ps,
@@ -686,29 +714,33 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
             } else {
                 " (incomplete analysis: bound degrades to pacing terms)"
             }
-        );
+        )?;
         if !report.critical_path.is_empty() {
             let shown = report.critical_path.len() as u32;
             if shown < report.critical_path_len {
-                println!(
+                outln!(
                     "critical path: {} hops, last {shown} shown:",
                     report.critical_path_len
-                );
+                )?;
             } else {
-                println!("critical path ({shown} hops):");
+                outln!("critical path ({shown} hops):")?;
             }
             for h in &report.critical_path {
-                println!(
+                outln!(
                     "  core{} pc{:<5} +{} ps -> {} ps  {}",
-                    h.core, h.pc, h.cost_ps, h.finish_ps, h.instr
-                );
+                    h.core,
+                    h.pc,
+                    h.cost_ps,
+                    h.finish_ps,
+                    h.instr
+                )?;
             }
         }
         if !report.cores.is_empty() {
-            println!("per-core bounds:");
+            outln!("per-core bounds:")?;
         }
         for c in &report.cores {
-            println!(
+            outln!(
                 "  core{}: {} instr, busy >= {} ps, finish >= {} ps, \
                  utilization >= {:.1}%",
                 c.core,
@@ -716,12 +748,12 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
                 c.busy_lb_ps,
                 c.finish_lb_ps,
                 c.utilization_lb * 100.0
-            );
+            )?;
         }
         if !report.channels.is_empty() {
-            println!("channel credit occupancy:");
+            outln!("channel credit occupancy:")?;
             for ch in &report.channels {
-                println!(
+                outln!(
                     "  core{}->core{} tag={}: {} message(s), peak in-flight {}, \
                      peak/VC {}, min credits {}",
                     ch.sender,
@@ -732,14 +764,15 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
                     ch.peak_per_vc,
                     ch.min_credits
                         .map_or_else(|| "-".to_string(), |c| c.to_string())
-                );
+                )?;
             }
             if let Some(m) = report.min_credits_deadlock_free {
-                println!(
+                outln!(
                     "deadlock-free from {m} credit(s)/VC; no benefit past {} \
                      (configured: {})",
-                    report.credit_knee, arch.noc.channel_credits
-                );
+                    report.credit_knee,
+                    arch.noc.channel_credits
+                )?;
             }
         }
     }
@@ -764,7 +797,7 @@ fn cmd_asm(args: &Args) -> Result<(), String> {
             std::fs::write(out, program.to_json()).map_err(|e| e.to_string())?;
             eprintln!("wrote {out}");
         }
-        None => print!("{}", program.to_json()),
+        None => out!("{}", program.to_json())?,
     }
     Ok(())
 }
@@ -776,7 +809,7 @@ fn cmd_disasm(args: &Args) -> Result<(), String> {
         .ok_or("usage: pimsim disasm <prog.json>")?;
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let program = Program::from_json(&text).map_err(|e| e.to_string())?;
-    print!("{}", asm::disassemble(&program));
+    out!("{}", asm::disassemble(&program))?;
     Ok(())
 }
 
@@ -878,20 +911,23 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
         eprintln!("wrote {path}");
     }
     if args.flag("json") {
-        println!("{json}");
+        outln!("{json}")?;
     } else if args.get("out").is_none() {
-        println!(
+        outln!(
             "{:<48} {:>13} {:>12} {:>9}",
-            "scenario", "latency/img", "energy", "power"
-        );
+            "scenario",
+            "latency/img",
+            "energy",
+            "power"
+        )?;
         for row in &rows {
-            println!(
+            outln!(
                 "{:<48} {:>13} {:>9.1} uJ {:>7.3} W",
                 row.scenario.display_label(),
                 format!("{}", row.latency_per_image()),
                 row.energy_pj / 1e6,
                 row.power_w
-            );
+            )?;
         }
     }
     eprintln!(
@@ -986,9 +1022,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         eprintln!("wrote {path}");
     }
     if args.flag("json") {
-        println!("{json}");
+        outln!("{json}")?;
     } else if args.get("out").is_none() {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text())?;
     }
     Ok(())
 }
@@ -997,11 +1033,11 @@ fn cmd_networks(_args: &Args) -> Result<(), String> {
     for name in zoo::NAMES {
         let default = pimsim_sweep::default_resolution(name);
         if let Some(net) = zoo::by_name(name, default) {
-            println!(
+            outln!(
                 "{name:11} {:3} layers, {:5.2} GMACs @ {default}x{default}",
                 net.nodes.len(),
                 net.total_macs() as f64 / 1e9
-            );
+            )?;
         }
     }
     Ok(())
@@ -1014,7 +1050,7 @@ fn cmd_config(args: &Args) -> Result<(), String> {
             cfg.to_file(path).map_err(|e| e.to_string())?;
             eprintln!("wrote {path}");
         }
-        None => println!("{}", cfg.to_json()),
+        None => outln!("{}", cfg.to_json())?,
     }
     Ok(())
 }
