@@ -25,14 +25,14 @@
 //! by replaying the push log through a min-heap.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use pimsim_event::{Kernel, RunResult, SimTime, World};
 use pimsim_isa::{GroupConfig, InstrClass, Instruction};
 
 use crate::exec::Memory;
-use crate::machine::rob::{Core, State};
+use crate::machine::rob::{Core, State, XbarSet};
 use crate::machine::transfer::TransferFabric;
 use crate::machine::{Ctx, Delta, Machine, MachineEvent, Telemetry};
 use crate::noc::{Noc, NocCosts};
@@ -114,7 +114,7 @@ pub(crate) struct CoreSnap {
     pub(crate) next_dispatch: SimTime,
     pub(crate) advance_pending: bool,
     pub(crate) vector_busy: bool,
-    pub(crate) busy_xbars: Vec<u32>,
+    pub(crate) busy_xbars: XbarSet,
     pub(crate) seq_next: u64,
     pub(crate) rob: Vec<EntrySnap>,
 }
@@ -281,28 +281,21 @@ pub(crate) fn compile_region(
             ..g.clone()
         })
         .collect();
-    let scratch_core = Core {
-        pc: 0,
-        regs: real.regs,
-        halted: false,
-        rob: VecDeque::new(),
-        rob_size: real.rob_size,
+    let mut scratch_core = Core::new(
+        real.id,
+        real.instrs[pc..end].to_vec(),
+        groups,
+        (pc..end)
+            .map(|i| real.tags.get(i).copied().unwrap_or(0))
+            .collect(),
+        real.rob_size,
         // Region entry requires next_dispatch <= now, and dispatch times
         // clamp to max(next_dispatch, now): relative to entry both are
         // exactly zero.
-        next_dispatch: SimTime::ZERO,
-        advance_pending: false,
-        vector_busy: false,
-        busy_xbars: Vec::new(),
-        seq_next: 0,
-        instrs: real.instrs[pc..end].to_vec(),
-        groups,
-        tags: (pc..end)
-            .map(|i| real.tags.get(i).copied().unwrap_or(0))
-            .collect(),
-        mem: Memory::default(),
-        stats: CoreStats::default(),
-    };
+        SimTime::ZERO,
+        Memory::default(),
+    );
+    scratch_core.regs = real.regs;
     let mut telemetry = Telemetry::new(false);
     telemetry.recorder = Some(Vec::new());
     let scratch = Machine {

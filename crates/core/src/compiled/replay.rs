@@ -60,7 +60,8 @@ fn real_event(core: usize, ev: PassKind, base_seq: u64) -> MachineEvent {
 
 /// Writes a scratch-relative core snapshot onto the live core, rebasing
 /// pc, times, and sequence numbers. Hazard metadata is re-derived through
-/// [`Core::entry_for`] — the same path live dispatch uses.
+/// [`Core::entry_for`] — the same path live dispatch uses — and the
+/// hazard counts are recounted over the rebuilt ROB.
 fn materialize(core: &mut Core, snap: &CoreSnap, t0: SimTime, base_seq: u64, entry_pc: u32) {
     core.pc = entry_pc + snap.pc;
     core.regs = snap.regs;
@@ -81,6 +82,7 @@ fn materialize(core: &mut Core, snap: &CoreSnap, t0: SimTime, base_seq: u64, ent
         };
         core.rob.push_back(entry);
     }
+    core.recount_blockers();
 }
 
 impl<'a> HybridWorld<'a> {

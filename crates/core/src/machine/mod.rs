@@ -4,8 +4,8 @@
 //! each stage owns one concern and one module:
 //!
 //! * [`frontend`] — fetch/decode/dispatch pacing and scalar execution,
-//! * [`rob`] — per-core re-order buffer: in-flight entries, hazard scan,
-//!   in-order retirement,
+//! * [`rob`] — per-core re-order buffer: in-flight entries, hazard
+//!   counts, in-order retirement,
 //! * [`units`] — matrix/vector execution units: issue, occupancy,
 //!   completion,
 //! * [`transfer`] — the rendezvous transfer fabric: flow-controlled

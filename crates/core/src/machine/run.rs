@@ -1,8 +1,6 @@
 //! The run loop: world construction, the event loop, deadlock detection,
 //! and report assembly.
 
-use std::collections::VecDeque;
-
 use pimsim_arch::model::CostModel;
 use pimsim_arch::ArchConfig;
 use pimsim_event::{RunResult, SimTime};
@@ -15,7 +13,7 @@ use super::transfer::TransferFabric;
 use super::{error::SimError, Machine, Telemetry};
 use crate::exec::Memory;
 use crate::noc::{Noc, NocCosts};
-use crate::stats::{CoreStats, SimReport};
+use crate::stats::SimReport;
 
 /// Runs compiled [`Program`]s on a configured chip.
 ///
@@ -191,23 +189,15 @@ impl<'a> Simulator<'a> {
                     mem.write(*start, values);
                 }
             }
-            cores.push(Core {
-                pc: 0,
-                regs: [0; 32],
-                halted: cp.instrs.is_empty(),
-                rob: VecDeque::new(),
-                rob_size: self.arch.resources.rob_size as usize,
-                next_dispatch: decode_offset,
-                advance_pending: false,
-                vector_busy: false,
-                busy_xbars: Vec::new(),
-                seq_next: 0,
-                instrs: cp.instrs,
-                groups: cp.groups,
-                tags: cp.instr_tags,
+            cores.push(Core::new(
+                cid as u16,
+                cp.instrs,
+                cp.groups,
+                cp.instr_tags,
+                self.arch.resources.rob_size as usize,
+                decode_offset,
                 mem,
-                stats: CoreStats::default(),
-            });
+            ));
         }
         let mut gmem = Memory::default();
         if functional {

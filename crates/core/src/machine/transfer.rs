@@ -483,7 +483,7 @@ impl Machine<'_> {
         let now = ctx.now();
         self.finish_time = self.finish_time.max(now);
         let (tag, span, text) = {
-            let Some(e) = self.cores[c].find(seq) else {
+            let Some(e) = self.cores[c].mark_done(seq) else {
                 // A completion whose ROB entry vanished is an invariant
                 // break; report it instead of quietly dropping the
                 // retirement (which would wedge the core).
@@ -492,7 +492,6 @@ impl Machine<'_> {
                 self.fail(SimError::Internal { detail }, ctx);
                 return;
             };
-            e.state = super::rob::State::Done;
             (e.tag, now.saturating_sub(e.issue_at), e.text.take())
         };
         if let Some(t) = text {

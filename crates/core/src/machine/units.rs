@@ -3,9 +3,10 @@
 //!
 //! Issue repeatedly asks the ROB for the oldest hazard-free entry whose
 //! unit is free ([`super::rob::Core::next_issuable`]), marks it
-//! `Executing`, and books the unit: the vector unit is single-occupancy,
-//! the matrix unit accepts any number of concurrent `MVM`s with disjoint
-//! crossbar sets, and transfers are handed to [`super::transfer`]. Costs
+//! `Executing` ([`super::rob::Core::issue`]), and books the unit: the
+//! vector unit is single-occupancy, the matrix unit accepts any number of
+//! concurrent `MVM`s with disjoint crossbar sets, and transfers are
+//! handed to [`super::transfer`]. Costs
 //! come from the [`TimingModel`](super::TimingModel) seam — never
 //! computed here — so alternative unit timings slot in without touching
 //! this choreography.
@@ -13,7 +14,6 @@
 use pimsim_event::SimTime;
 use pimsim_isa::{InstrClass, VectorShape};
 
-use super::rob::State;
 use super::{Ctx, EnergyField, Machine, MachineEvent, NodeTimeField};
 use crate::exec::execute_local;
 use crate::machine::error::SimError;
@@ -48,7 +48,7 @@ impl Machine<'_> {
         }
         let now = ctx.now();
         loop {
-            let candidate = self.cores[c].next_issuable(c as u16, self.cfg.sim.structure_hazard);
+            let candidate = self.cores[c].next_issuable(self.cfg.sim.structure_hazard);
             let Some(seq) = candidate else { return };
             self.start(c, seq, now, ctx);
         }
@@ -57,9 +57,7 @@ impl Machine<'_> {
     /// Moves entry `seq` to `Executing` and books its execution unit.
     fn start(&mut self, c: usize, seq: u64, now: SimTime, ctx: &mut Ctx) {
         let (class, res, tag) = {
-            let e = self.cores[c].find(seq).expect("entry exists");
-            e.state = State::Executing;
-            e.issue_at = now;
+            let e = self.cores[c].issue(seq, now);
             (e.class, e.res.clone(), e.tag)
         };
         match class {
@@ -78,16 +76,15 @@ impl Machine<'_> {
                 let Resolved::Mvm { group, .. } = &res else {
                     unreachable!("matrix class mismatch")
                 };
-                let (inp, outp, nx) = {
-                    let g = &self.cores[c].groups[group.as_usize()];
-                    (g.input_len, g.output_len, g.xbar_ids.len() as u32)
-                };
-                let cost = self.timing.matrix_cost(self.cfg, inp, outp, nx);
-                let xbars = self.cores[c]
-                    .find(seq)
-                    .map(|e| e.xbars.clone())
-                    .unwrap_or_default();
-                self.cores[c].busy_xbars.extend(xbars);
+                let core = &mut self.cores[c];
+                let g = &core.groups[group.as_usize()];
+                let cost = self.timing.matrix_cost(
+                    self.cfg,
+                    g.input_len,
+                    g.output_len,
+                    g.xbar_ids.len() as u32,
+                );
+                core.busy_xbars.insert_all(&g.xbar_ids);
                 self.telemetry.add_energy(EnergyField::Matrix, cost.energy);
                 self.telemetry.add_node_energy(tag, cost.energy);
                 let end = now + cost.time;
@@ -109,7 +106,7 @@ impl Machine<'_> {
         let now = ctx.now();
         self.finish_time = self.finish_time.max(now);
         let (class, res, tag, span, text) = {
-            let Some(e) = self.cores[c].find(seq) else {
+            let Some(e) = self.cores[c].mark_done(seq) else {
                 // A completion whose ROB entry vanished is an invariant
                 // break (entries leave the ROB only through in-order
                 // retirement after completing); silently dropping it used
@@ -118,7 +115,6 @@ impl Machine<'_> {
                 self.fail(SimError::Internal { detail }, ctx);
                 return;
             };
-            e.state = State::Done;
             (
                 e.class,
                 e.res.clone(),
@@ -139,12 +135,13 @@ impl Machine<'_> {
                 self.functional_payload(c, &res);
             }
             InstrClass::Matrix => {
-                let xbars = self.cores[c]
-                    .find(seq)
-                    .map(|e| e.xbars.clone())
-                    .unwrap_or_default();
-                self.cores[c].busy_xbars.retain(|x| !xbars.contains(x));
-                self.cores[c].stats.matrix_busy += span;
+                let Resolved::Mvm { group, .. } = &res else {
+                    unreachable!("matrix class mismatch")
+                };
+                let core = &mut self.cores[c];
+                core.busy_xbars
+                    .remove_all(&core.groups[group.as_usize()].xbar_ids);
+                core.stats.matrix_busy += span;
                 self.telemetry
                     .add_node_time(tag, NodeTimeField::Matrix, span);
                 self.functional_payload(c, &res);

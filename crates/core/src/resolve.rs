@@ -4,7 +4,7 @@
 use pimsim_isa::{Addr, GroupId, Instruction, PoolOp, VBinOp, VImmOp, VUnOp};
 
 /// A half-open local-memory interval `[start, end)` used for hazard checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Range {
     pub start: u32,
     pub end: u32,
@@ -40,6 +40,35 @@ impl Range {
         let lo = (base as i64).min(last).clamp(0, u32::MAX as i64) as u32;
         let hi = ((base as i64).max(last) + block_len as i64).clamp(0, u32::MAX as i64) as u32;
         Range { start: lo, end: hi }
+    }
+}
+
+/// The local-memory ranges one instruction reads: at most two, held
+/// inline so building a ROB entry allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Reads {
+    buf: [Range; 2],
+    len: u8,
+}
+
+impl Reads {
+    fn one(r: Range) -> Reads {
+        Reads {
+            buf: [r, Range::default()],
+            len: 1,
+        }
+    }
+
+    fn two(a: Range, b: Range) -> Reads {
+        Reads {
+            buf: [a, b],
+            len: 2,
+        }
+    }
+
+    /// The ranges, in operand order.
+    pub fn as_slice(&self) -> &[Range] {
+        &self.buf[..self.len as usize]
     }
 }
 
@@ -124,23 +153,23 @@ pub enum Resolved {
 
 impl Resolved {
     /// Local-memory ranges read by this instruction.
-    pub fn reads(&self) -> Vec<Range> {
+    pub fn reads(&self) -> Reads {
         match self {
-            Resolved::Mvm { src, len, .. } => vec![Range::new(*src, *len)],
+            Resolved::Mvm { src, len, .. } => Reads::one(Range::new(*src, *len)),
             Resolved::VBin { a, b, len, .. } => {
-                vec![Range::new(*a, *len), Range::new(*b, *len)]
+                Reads::two(Range::new(*a, *len), Range::new(*b, *len))
             }
             Resolved::VImm { src, len, .. } | Resolved::VUn { src, len, .. } => {
-                vec![Range::new(*src, *len)]
+                Reads::one(Range::new(*src, *len))
             }
-            Resolved::VFill { .. } => vec![],
+            Resolved::VFill { .. } => Reads::default(),
             Resolved::VCopy2d {
                 src,
                 block_len,
                 blocks,
                 src_stride,
                 ..
-            } => vec![Range::strided(*src, *block_len, *blocks, *src_stride)],
+            } => Reads::one(Range::strided(*src, *block_len, *blocks, *src_stride)),
             Resolved::VPool {
                 src,
                 channels,
@@ -148,46 +177,47 @@ impl Resolved {
                 win_h,
                 row_stride,
                 ..
-            } => vec![Range::strided(
+            } => Reads::one(Range::strided(
                 *src,
                 win_w * channels,
                 (*win_h).max(1),
                 *row_stride,
-            )],
-            Resolved::Send { src, len, .. } => vec![Range::new(*src, *len)],
-            Resolved::Recv { .. } => vec![],
-            Resolved::GLoad { .. } => vec![],
-            Resolved::GStore { src, len, .. } => vec![Range::new(*src, *len)],
+            )),
+            Resolved::Send { src, len, .. } => Reads::one(Range::new(*src, *len)),
+            Resolved::Recv { .. } => Reads::default(),
+            Resolved::GLoad { .. } => Reads::default(),
+            Resolved::GStore { src, len, .. } => Reads::one(Range::new(*src, *len)),
         }
     }
 
-    /// Local-memory ranges written by this instruction. For `MVM` the
-    /// output length is supplied by the caller (from the group table).
-    pub fn writes(&self, mvm_out_len: u32) -> Vec<Range> {
+    /// The local-memory range written by this instruction, if any. For
+    /// `MVM` the output length is supplied by the caller (from the group
+    /// table).
+    pub fn write(&self, mvm_out_len: u32) -> Option<Range> {
         match self {
-            Resolved::Mvm { dst, .. } => vec![Range::new(*dst, mvm_out_len)],
+            Resolved::Mvm { dst, .. } => Some(Range::new(*dst, mvm_out_len)),
             Resolved::VBin { dst, len, .. }
             | Resolved::VImm { dst, len, .. }
             | Resolved::VUn { dst, len, .. }
-            | Resolved::VFill { dst, len, .. } => vec![Range::new(*dst, *len)],
+            | Resolved::VFill { dst, len, .. } => Some(Range::new(*dst, *len)),
             Resolved::VCopy2d {
                 dst,
                 block_len,
                 blocks,
                 dst_stride,
                 ..
-            } => vec![Range::strided(*dst, *block_len, *blocks, *dst_stride)],
-            Resolved::VPool { dst, channels, .. } => vec![Range::new(*dst, *channels)],
-            Resolved::Send { .. } => vec![],
+            } => Some(Range::strided(*dst, *block_len, *blocks, *dst_stride)),
+            Resolved::VPool { dst, channels, .. } => Some(Range::new(*dst, *channels)),
+            Resolved::Send { .. } => None,
             Resolved::Recv {
                 dst,
                 block_len,
                 blocks,
                 dst_stride,
                 ..
-            } => vec![Range::strided(*dst, *block_len, *blocks, *dst_stride)],
-            Resolved::GLoad { dst, len, .. } => vec![Range::new(*dst, *len)],
-            Resolved::GStore { .. } => vec![],
+            } => Some(Range::strided(*dst, *block_len, *blocks, *dst_stride)),
+            Resolved::GLoad { dst, len, .. } => Some(Range::new(*dst, *len)),
+            Resolved::GStore { .. } => None,
         }
     }
 }
@@ -430,12 +460,12 @@ mod tests {
         .unwrap();
         let r = resolve(&i, &regs).unwrap();
         assert_eq!(
-            r.reads(),
-            vec![Range {
+            r.reads().as_slice(),
+            [Range {
                 start: 1000,
                 end: 1036
             }]
         );
-        assert_eq!(r.writes(0), vec![Range { start: 0, end: 20 }]);
+        assert_eq!(r.write(0), Some(Range { start: 0, end: 20 }));
     }
 }

@@ -93,6 +93,27 @@ fn infinite_loop_hits_the_cycle_horizon() {
 }
 
 #[test]
+fn unrepresentable_message_time_times_out_instead_of_wrapping() {
+    // At 1e-20 flits per cycle one message needs more cycles than a u64
+    // holds. The cycle count saturates, and the time it converts to used
+    // to wrap in release builds (tiny_mlp then finished *faster* than at
+    // full bandwidth) and overflow-panic in debug builds.
+    let mut arch = ArchConfig::paper_default();
+    arch.noc.link_flits_per_cycle = 1e-20;
+    arch.validate().expect("the config itself is valid");
+    let compiled = pimsim_compiler::Compiler::new(&arch)
+        .compile(&pimsim_nn::zoo::tiny_mlp())
+        .unwrap();
+    let err = Simulator::new(&arch)
+        .run(&compiled.program)
+        .expect_err("a message that never arrives must time out");
+    assert!(
+        matches!(err, SimError::Timeout { max_cycles } if max_cycles == arch.sim.max_cycles),
+        "expected Timeout, got {err:?}"
+    );
+}
+
+#[test]
 fn timeout_display_and_source() {
     let err = SimError::Timeout { max_cycles: 42 };
     assert_eq!(

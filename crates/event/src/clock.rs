@@ -63,9 +63,9 @@ impl Clock {
         1000.0 / self.period_ps as f64
     }
 
-    /// The duration of `cycles` cycles.
+    /// The duration of `cycles` cycles, saturating at [`SimTime::MAX`].
     pub fn cycles_to_time(&self, cycles: u64) -> SimTime {
-        SimTime::from_ps(self.period_ps * cycles)
+        SimTime::from_ps(self.period_ps.saturating_mul(cycles))
     }
 
     /// How many whole cycles cover `t` (rounded up).
@@ -108,6 +108,13 @@ mod tests {
         for c in [0u64, 1, 7, 1000] {
             assert_eq!(clk.time_to_cycles_ceil(clk.cycles_to_time(c)), c);
         }
+    }
+
+    #[test]
+    fn cycles_to_time_saturates() {
+        let clk = Clock::from_period_ps(1000);
+        assert_eq!(clk.cycles_to_time(u64::MAX), SimTime::MAX);
+        assert_eq!(clk.cycles_to_time(u64::MAX / 1000 + 1), SimTime::MAX);
     }
 
     #[test]

@@ -11,10 +11,12 @@ use serde::{Deserialize, Serialize};
 /// Picoseconds give headroom for multi-GHz clocks (1 GHz period = 1000 ps)
 /// while still covering ~213 days of simulated time in a `u64`.
 ///
-/// `SimTime` is used both as an absolute timestamp and as a duration; the
-/// arithmetic operators below are saturating-free (they panic on overflow in
-/// debug builds, as plain integer arithmetic does), because an overflowing
-/// simulation clock is a bug worth hearing about.
+/// `SimTime` is used both as an absolute timestamp and as a duration.
+/// Addition saturates at [`SimTime::MAX`] in every build profile: a cost
+/// too large to represent (say, a message over a link of vanishing
+/// bandwidth) lands at "never", past any run horizon, so the run ends in
+/// a timeout instead of wrapping to an early time. The other operators
+/// are plain integer arithmetic and panic on overflow in debug builds.
 ///
 /// ```rust
 /// use pimsim_event::SimTime;
@@ -125,13 +127,13 @@ impl SimTime {
 impl Add for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimTime {
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -222,6 +224,15 @@ mod tests {
         assert_eq!((a / 2).as_ps(), 5_000);
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         assert_eq!(SimTime::MAX.checked_add(SimTime::from_ps(1)), None);
+    }
+
+    #[test]
+    fn addition_saturates_in_every_profile() {
+        let near = SimTime::from_ps(u64::MAX - 5);
+        assert_eq!(near + SimTime::from_ns(1), SimTime::MAX);
+        let mut t = near;
+        t += SimTime::MAX;
+        assert_eq!(t, SimTime::MAX);
     }
 
     #[test]
