@@ -697,11 +697,29 @@ mod tests {
         let mut v: serde_json::Value =
             serde_json::from_str(&ArchConfig::paper_default().to_json()).unwrap();
         v["resources"]["warp_drive"] = serde_json::json!(9000);
-        let text = serde_json::to_string(&v).unwrap();
-        assert!(matches!(
-            ArchConfig::from_json(&text),
-            Err(ArchError::Parse(_))
-        ));
+        let text = serde_json::to_string_pretty(&v).unwrap();
+        let line = text.lines().position(|l| l.contains("warp_drive")).unwrap() + 1;
+        match ArchConfig::from_json(&text) {
+            Err(ArchError::Parse(msg)) => assert!(
+                msg.starts_with("unknown field `warp_drive` in Resources")
+                    && msg.contains(&format!("at line {line} column")),
+                "{msg}"
+            ),
+            other => panic!("unknown field accepted: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn type_errors_report_their_line() {
+        let text = ArchConfig::paper_default()
+            .to_json()
+            .replace("\"rob_size\": 8", "\"rob_size\": \"8\"");
+        let line = text.lines().position(|l| l.contains("rob_size")).unwrap() + 1;
+        let err = ArchConfig::from_json(&text).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("expected u32, found string at line {line} column")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -64,3 +64,22 @@ fn meshes_beyond_the_core_id_space_are_config_errors() {
         }
     }
 }
+
+#[test]
+fn deeply_nested_json_is_a_parse_error_not_an_abort() {
+    let path = format!("{}/deep.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    for cmd in ["check", "bound"] {
+        let out = pimsim(&[cmd, &path]).output().unwrap();
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(
+            err.contains("parse error at line 1: recursion limit exceeded"),
+            "{cmd}: {err}"
+        );
+        assert!(
+            !err.contains("overflow") && !err.contains("panicked"),
+            "{cmd}: {err}"
+        );
+    }
+}

@@ -474,6 +474,42 @@ mod tests {
     }
 
     #[test]
+    fn type_errors_report_their_line() {
+        let mut p = Program::with_cores(1);
+        p.cores[0].local_init = vec![(0, vec![1, 12345])];
+        let text = p.to_json().replace("12345", "\"12345\"");
+        let line = text.lines().position(|l| l.contains("12345")).unwrap() + 1;
+        let err = Program::from_json(&text).unwrap_err();
+        assert!(
+            matches!(err, IsaError::Parse { line: l, .. } if l == line),
+            "{err}"
+        );
+        assert!(
+            err.to_string().starts_with(&format!(
+                "parse error at line {line}: expected i32, found string"
+            )),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn json_without_optional_fields_loads_defaults() {
+        let text = r#"{
+            "cores": [{"instrs": ["Halt"], "groups": [], "local_init": [], "labels": {}}],
+            "meta": {"name": "old", "mapping": "", "notes": ""}
+        }"#;
+        let p = Program::from_json(text).unwrap();
+        assert!(p.global_init.is_empty());
+        assert!(p.cores[0].instr_tags.is_empty());
+        assert_eq!(p.cores[0].instrs, vec![Instruction::Halt]);
+        let err = Program::from_json(r#"{"cores": []}"#).unwrap_err();
+        assert!(
+            err.to_string().contains("missing field `meta` in Program"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn class_histogram_counts() {
         let cp = CoreProgram {
             groups: vec![GroupConfig::new(GroupId(0), 4, 4, vec![0])],

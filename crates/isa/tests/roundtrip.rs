@@ -1,12 +1,18 @@
 //! Property tests: every instruction survives binary encode/decode and
-//! assembly print/parse round-trips.
+//! assembly print/parse round-trips, whole programs survive the JSON
+//! artifact round-trip, and so does any untyped JSON value.
+
+use std::collections::BTreeMap;
 
 use pimsim_isa::asm;
 use pimsim_isa::{
-    decode, encode, Addr, BranchCond, CoreId, GroupId, Instruction, PoolOp, Reg, SBinOp, SImmOp,
-    VBinOp, VImmOp, VUnOp,
+    decode, encode, Addr, BranchCond, CoreId, CoreProgram, GroupConfig, GroupId, Instruction,
+    PoolOp, Program, ProgramMeta, Reg, SBinOp, SImmOp, VBinOp, VImmOp, VUnOp, WeightMatrix,
 };
+use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::strategy::BoxedStrategy;
+use serde_json::{Map, Number, Value};
 
 fn reg_strategy() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(|i| Reg::new(i).unwrap())
@@ -224,5 +230,130 @@ proptest! {
         let word = encode(&instr).unwrap();
         let again = encode(&decode(word).unwrap()).unwrap();
         prop_assert_eq!(word, again);
+    }
+}
+
+/// Strings that exercise every escape the printer writes (quotes,
+/// backslashes, control characters) and multi-byte UTF-8.
+fn text_strategy() -> impl Strategy<Value = String> {
+    const PIECES: [&str; 10] = [
+        "",
+        "conv1",
+        "\"",
+        "\\",
+        "\n\r\t",
+        "\u{1}\u{1f}",
+        "é",
+        "\u{1d11e}",
+        "/",
+        "a b",
+    ];
+    vec(0usize..PIECES.len(), 0..4).prop_map(|ix| ix.into_iter().map(|i| PIECES[i]).collect())
+}
+
+fn group_strategy() -> impl Strategy<Value = GroupConfig> {
+    (
+        0u16..8,
+        1u32..4,
+        1u32..4,
+        vec(0u32..64, 0..3),
+        any::<bool>(),
+    )
+        .prop_map(|(id, rows, cols, xbars, weighted)| {
+            let mut g = GroupConfig::new(GroupId(id), rows, cols, xbars);
+            if weighted {
+                let data = (0..rows * cols).map(|i| i as i8 - 3).collect();
+                g.weights = Some(WeightMatrix::new(rows, cols, data).unwrap());
+            }
+            g
+        })
+}
+
+fn core_strategy() -> impl Strategy<Value = CoreProgram> {
+    (
+        vec(instruction_strategy(), 0..24),
+        vec(group_strategy(), 0..3),
+        vec((any::<u32>(), vec(any::<i32>(), 0..6)), 0..3),
+        vec((text_strategy(), any::<u32>()), 0..3),
+        vec(any::<u16>(), 0..8),
+    )
+        .prop_map(
+            |(instrs, groups, local_init, labels, instr_tags)| CoreProgram {
+                instrs,
+                groups,
+                local_init,
+                labels: labels.into_iter().collect::<BTreeMap<_, _>>(),
+                instr_tags,
+            },
+        )
+}
+
+fn program_strategy() -> impl Strategy<Value = Program> {
+    (
+        vec(core_strategy(), 0..4),
+        vec((any::<u64>(), vec(any::<i32>(), 0..6)), 0..3),
+        (text_strategy(), text_strategy(), text_strategy()),
+    )
+        .prop_map(|(cores, global_init, (name, mapping, notes))| Program {
+            cores,
+            global_init,
+            meta: ProgramMeta {
+                name,
+                mapping,
+                notes,
+            },
+        })
+}
+
+fn leaf_strategy() -> BoxedStrategy<Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<u64>().prop_map(|n| Value::Number(Number::from_u64(n))),
+        any::<i64>().prop_map(|n| Value::Number(Number::from_i64(n))),
+        any::<u64>().prop_map(|bits| {
+            let f = f64::from_bits(bits);
+            Value::Number(Number::from_f64(if f.is_finite() { f } else { 0.5 }))
+        }),
+        text_strategy().prop_map(Value::String),
+    ]
+    .boxed()
+}
+
+/// Values nested one level deeper than `inner`'s.
+fn nest(inner: BoxedStrategy<Value>) -> BoxedStrategy<Value> {
+    prop_oneof![
+        inner.clone(),
+        vec(inner.clone(), 0..4).prop_map(Value::Array),
+        vec((text_strategy(), inner), 0..4)
+            .prop_map(|members| Value::Object(members.into_iter().collect::<Map>())),
+    ]
+    .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A program artifact reads back as the program that wrote it, in
+    /// both the pretty form `to_json` writes and the compact form.
+    #[test]
+    fn program_json_roundtrip(program in program_strategy()) {
+        let text = program.to_json();
+        prop_assert_eq!(Program::from_json(&text).unwrap(), program.clone());
+        let compact = serde_json::to_string(&program).unwrap();
+        prop_assert_eq!(serde_json::from_str::<Program>(&compact).unwrap(), program);
+    }
+
+    /// Any JSON value survives printing and re-parsing, compact and pretty,
+    /// and both forms print identically once re-read.
+    #[test]
+    fn value_json_roundtrip(value in nest(nest(nest(leaf_strategy())))) {
+        let compact = serde_json::to_string(&value).unwrap();
+        let pretty = serde_json::to_string_pretty(&value).unwrap();
+        let from_compact: Value = serde_json::from_str(&compact).unwrap();
+        let from_pretty: Value = serde_json::from_str(&pretty).unwrap();
+        prop_assert_eq!(&from_compact, &value);
+        prop_assert_eq!(&from_pretty, &value);
+        prop_assert_eq!(serde_json::to_string(&from_pretty).unwrap(), compact);
     }
 }

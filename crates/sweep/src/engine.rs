@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use serde::{Map, Number, Serialize, Value};
+use serde::{Serialize, Writer};
 
 use pimsim_arch::Energy;
 use pimsim_baseline::BaselineSimulator;
@@ -96,41 +96,29 @@ impl SweepRow {
 }
 
 impl Serialize for SweepRow {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("index", Value::Number(Number::from_u64(self.index as u64)));
-        map.insert("scenario", self.scenario.to_value());
-        map.insert(
-            "latency_ps",
-            Value::Number(Number::from_u64(self.latency_ps)),
-        );
-        map.insert(
-            "latency_ns",
-            Value::Number(Number::from_f64(self.latency_ps as f64 / 1e3)),
-        );
-        map.insert(
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("index", &self.index);
+        w.field("scenario", &self.scenario);
+        w.field("latency_ps", &self.latency_ps);
+        w.field("latency_ns", &(self.latency_ps as f64 / 1e3));
+        w.field(
             "latency_per_image_ns",
-            Value::Number(Number::from_f64(self.latency_per_image_ps as f64 / 1e3)),
+            &(self.latency_per_image_ps as f64 / 1e3),
         );
-        map.insert("energy_pj", Value::Number(Number::from_f64(self.energy_pj)));
-        map.insert("power_w", Value::Number(Number::from_f64(self.power_w)));
-        map.insert(
-            "instructions",
-            Value::Number(Number::from_u64(self.instructions)),
-        );
-        map.insert("events", Value::Number(Number::from_u64(self.events)));
-        map.insert(
-            "cores_used",
-            Value::Number(Number::from_u64(self.cores_used as u64)),
-        );
-        map.insert("node_names", self.node_names.to_value());
-        map.insert("comm_ratios", self.comm_ratios.to_value());
+        w.field("energy_pj", &self.energy_pj);
+        w.field("power_w", &self.power_w);
+        w.field("instructions", &self.instructions);
+        w.field("events", &self.events);
+        w.field("cores_used", &self.cores_used);
+        w.field("node_names", &self.node_names);
+        w.field("comm_ratios", &self.comm_ratios);
         // Present only on serving rows, so one-shot campaign output stays
         // byte-identical with pre-serving releases.
         if let Some(serve) = &self.serve {
-            map.insert("serve", serve.to_value());
+            w.field("serve", serve);
         }
-        Value::Object(map)
+        w.end_object();
     }
 }
 
@@ -346,13 +334,12 @@ pub fn run_scenarios(
 /// The rendering is fully determined by the rows, so equal campaigns
 /// produce byte-identical text whatever thread count computed them.
 pub fn results_to_json(rows: &[SweepRow]) -> String {
-    let mut map = Map::new();
-    map.insert("points", Value::Number(Number::from_u64(rows.len() as u64)));
-    map.insert(
-        "rows",
-        Value::Array(rows.iter().map(Serialize::to_value).collect()),
-    );
-    serde_json::to_string_pretty(&Value::Object(map)).expect("row serialization cannot fail")
+    let mut w = Writer::pretty();
+    w.begin_object();
+    w.field("points", &rows.len());
+    w.field("rows", rows);
+    w.end_object();
+    w.into_string()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::path::Path;
 
-use serde::{Deserialize, Map, Number, Serialize, Value};
+use serde::{Deserialize, Serialize, Writer};
 
 use pimsim_arch::{ArchConfig, RoutingPolicy};
 use pimsim_compiler::MappingPolicy;
@@ -248,75 +248,48 @@ impl Scenario {
 // so campaign outputs stay readable; the grid's `base` is the place a
 // custom full configuration lives.
 impl Serialize for Scenario {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("network", Value::String(self.network.clone()));
-        map.insert(
-            "resolution",
-            Value::Number(Number::from_u64(self.resolution as u64)),
-        );
-        map.insert("mapping", Value::String(self.mapping.to_string()));
-        map.insert("batch", Value::Number(Number::from_u64(self.batch as u64)));
-        map.insert("simulator", Value::String(self.simulator.to_string()));
-        map.insert("label", Value::String(self.label.clone()));
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.field("network", &self.network);
+        w.field("resolution", &self.resolution);
+        w.field("mapping", &self.mapping.to_string());
+        w.field("batch", &self.batch);
+        w.field("simulator", &self.simulator.to_string());
+        w.field("label", &self.label);
         let r = &self.arch.resources;
-        map.insert(
-            "rob_size",
-            Value::Number(Number::from_u64(r.rob_size as u64)),
-        );
-        map.insert(
-            "adcs_per_xbar",
-            Value::Number(Number::from_u64(r.adcs_per_xbar as u64)),
-        );
-        map.insert(
-            "vector_lanes",
-            Value::Number(Number::from_u64(r.vector_lanes as u64)),
-        );
-        map.insert(
-            "flit_bytes",
-            Value::Number(Number::from_u64(self.arch.noc.flit_bytes as u64)),
-        );
+        w.field("rob_size", &r.rob_size);
+        w.field("adcs_per_xbar", &r.adcs_per_xbar);
+        w.field("vector_lanes", &r.vector_lanes);
+        w.field("flit_bytes", &self.arch.noc.flit_bytes);
         // The router-model knobs are serialized only when swept away from
         // their paper defaults, so campaign outputs from before the knobs
         // existed stay byte-identical.
         if self.arch.noc.routing != RoutingPolicy::default() {
-            map.insert("routing", Value::String(self.arch.noc.routing.to_string()));
+            w.field("routing", &self.arch.noc.routing.to_string());
         }
         if self.arch.noc.virtual_channels != 1 {
-            map.insert(
-                "virtual_channels",
-                Value::Number(Number::from_u64(self.arch.noc.virtual_channels as u64)),
-            );
+            w.field("virtual_channels", &self.arch.noc.virtual_channels);
         }
         if self.arch.noc.router_pipeline_depth != 1 {
-            map.insert(
+            w.field(
                 "router_pipeline_depth",
-                Value::Number(Number::from_u64(self.arch.noc.router_pipeline_depth as u64)),
+                &self.arch.noc.router_pipeline_depth,
             );
         }
         if self.engine != EngineKind::default() {
-            map.insert("engine", Value::String(self.engine.to_string()));
+            w.field("engine", &self.engine.to_string());
         }
         // Serving coordinates appear only on serving points, so one-shot
         // campaign output from before the serving layer existed stays
         // byte-identical.
         if let Some(sp) = &self.serve {
-            map.insert(
-                "arrival_rate_rps",
-                Value::Number(Number::from_f64(sp.rate_rps)),
-            );
-            map.insert("batch_policy", Value::String(sp.policy.to_string()));
-            map.insert(
-                "serve_duration_ns",
-                Value::Number(Number::from_f64(sp.duration.as_ns_f64())),
-            );
-            map.insert("serve_seed", Value::Number(Number::from_u64(sp.seed)));
+            w.field("arrival_rate_rps", &sp.rate_rps);
+            w.field("batch_policy", &sp.policy.to_string());
+            w.field("serve_duration_ns", &sp.duration.as_ns_f64());
+            w.field("serve_seed", &sp.seed);
         }
-        map.insert(
-            "structure_hazard",
-            Value::Bool(self.arch.sim.structure_hazard),
-        );
-        Value::Object(map)
+        w.field("structure_hazard", &self.arch.sim.structure_hazard);
+        w.end_object();
     }
 }
 
@@ -748,6 +721,7 @@ fn non_empty<T: Copy>(axis: &[T], default: T) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::{Number, Value};
 
     #[test]
     fn expansion_counts_and_order() {
@@ -852,9 +826,12 @@ mod tests {
         // Labels and serialization surface the knob only when non-default.
         assert!(!scenarios[0].display_label().contains("xy"));
         assert!(scenarios[1].display_label().contains(" yx "));
-        assert_eq!(scenarios[0].to_value().get("routing"), None);
         assert_eq!(
-            scenarios[2].to_value()["routing"],
+            serde_json::to_value(&scenarios[0]).unwrap().get("routing"),
+            None
+        );
+        assert_eq!(
+            serde_json::to_value(&scenarios[2]).unwrap()["routing"],
             Value::String("xy-yx".into())
         );
     }
@@ -894,14 +871,24 @@ mod tests {
         assert!(!scenarios[0].display_label().contains("vc="));
         assert!(!scenarios[0].display_label().contains("depth="));
         assert!(scenarios[3].display_label().contains(" vc=2 depth=3 "));
-        assert_eq!(scenarios[0].to_value().get("virtual_channels"), None);
-        assert_eq!(scenarios[0].to_value().get("router_pipeline_depth"), None);
         assert_eq!(
-            scenarios[2].to_value()["virtual_channels"],
+            serde_json::to_value(&scenarios[0])
+                .unwrap()
+                .get("virtual_channels"),
+            None
+        );
+        assert_eq!(
+            serde_json::to_value(&scenarios[0])
+                .unwrap()
+                .get("router_pipeline_depth"),
+            None
+        );
+        assert_eq!(
+            serde_json::to_value(&scenarios[2]).unwrap()["virtual_channels"],
             Value::Number(Number::from_u64(2))
         );
         assert_eq!(
-            scenarios[1].to_value()["router_pipeline_depth"],
+            serde_json::to_value(&scenarios[1]).unwrap()["router_pipeline_depth"],
             Value::Number(Number::from_u64(3))
         );
     }
@@ -933,9 +920,12 @@ mod tests {
         // non-default, so default campaign output stays byte-identical.
         assert!(!scenarios[0].display_label().contains("engine="));
         assert!(scenarios[1].display_label().contains(" engine=compiled "));
-        assert_eq!(scenarios[0].to_value().get("engine"), None);
         assert_eq!(
-            scenarios[1].to_value()["engine"],
+            serde_json::to_value(&scenarios[0]).unwrap().get("engine"),
+            None
+        );
+        assert_eq!(
+            serde_json::to_value(&scenarios[1]).unwrap()["engine"],
             Value::String("compiled".into())
         );
     }
@@ -997,6 +987,14 @@ mod tests {
         let text = grid.to_json();
         assert_eq!(SweepGrid::from_json(&text).unwrap(), grid);
         assert!(SweepGrid::from_json(r#"{"netwroks": ["vgg8"]}"#).is_err());
+        let err =
+            SweepGrid::from_json("{\n  \"networks\": [\"vgg8\"],\n  \"rob_sizes\": [1, -8]\n}")
+                .unwrap_err()
+                .to_string();
+        assert!(
+            err.contains("expected u32, found number at line 3 column 20"),
+            "{err}"
+        );
         // Missing axes default to empty.
         let sparse = SweepGrid::from_json(r#"{"networks": ["vgg8"]}"#).unwrap();
         assert!(sparse.rob_sizes.is_empty());
@@ -1017,7 +1015,7 @@ mod tests {
             "vgg8/32 performance-first x2 rob=8 cycle"
         );
         assert_eq!(s.clone().with_label("custom").display_label(), "custom");
-        let v = s.to_value();
+        let v = serde_json::to_value(&s).unwrap();
         assert_eq!(v["mapping"], Value::String("performance-first".into()));
         assert_eq!(v["simulator"], Value::String("cycle".into()));
         assert_eq!(v["rob_size"], Value::Number(Number::from_u64(8)));
@@ -1064,7 +1062,7 @@ mod tests {
         );
         assert_eq!(scenarios[2].serve.as_ref().unwrap().rate_rps, 100_000.0);
         // Serving scenarios serialize the traffic point; labels mention it.
-        let v = scenarios[1].to_value();
+        let v = serde_json::to_value(&scenarios[1]).unwrap();
         assert_eq!(
             v["arrival_rate_rps"],
             Value::Number(Number::from_f64(50_000.0))
@@ -1091,7 +1089,10 @@ mod tests {
         let mut plain = SweepGrid::over_networks(["tiny_mlp"]);
         plain.base = Some(ArchConfig::small_test());
         let s = &plain.scenarios().unwrap()[0];
-        assert_eq!(s.to_value().get("arrival_rate_rps"), None);
+        assert_eq!(
+            serde_json::to_value(&s).unwrap().get("arrival_rate_rps"),
+            None
+        );
         assert!(!s.display_label().contains("serve"));
     }
 
